@@ -202,29 +202,6 @@ void BM_SequentialEngineFusedVsUnfused(benchmark::State& state) {
 }
 BENCHMARK(BM_SequentialEngineFusedVsUnfused)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-/// Engine-step cost with the accelerated VM cores (arg 1: computed-goto
-/// direct-threaded dispatch + block-parallel batch scan) vs the portable
-/// switch interpreter core (arg 0, the CBIP_NO_THREADED escape hatch);
-/// identical traces. The guard/action-heavy workload makes per-opcode
-/// dispatch the dominant per-step cost, so this ratio isolates the
-/// threaded-VM win at the engine level.
-void BM_SequentialEngineThreadedVsSwitch(benchmark::State& state) {
-  const System sys = dataHeavyPairs(8);
-  const bool saved = expr::threadedDispatchEnabled();
-  expr::setThreadedDispatchEnabled(state.range(0) != 0);
-  RandomPolicy policy(3);
-  SequentialEngine engine(sys, policy);
-  for (auto _ : state) {
-    RunOptions opt;
-    opt.maxSteps = 500;
-    opt.recordTrace = false;
-    benchmark::DoNotOptimize(engine.run(opt));
-  }
-  expr::setThreadedDispatchEnabled(saved);
-  state.SetItemsProcessed(state.iterations() * 500);
-}
-BENCHMARK(BM_SequentialEngineThreadedVsSwitch)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
 /// Analysis-friendly workload: every live guard and action is full of
 /// literal-divisor div/mod sites (relaxed to unchecked opcodes at build
 /// time), and each scanned location carries arithmetically dead port

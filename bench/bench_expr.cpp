@@ -185,59 +185,6 @@ void BM_DivisionCheckedVsRelaxed(benchmark::State& state) {
 }
 BENCHMARK(BM_DivisionCheckedVsRelaxed)->Arg(0)->Arg(1);
 
-/// The two VM dispatch cores on identical bytecode: arg 0 runs the
-/// portable switch interpreter, arg 1 the computed-goto direct-threaded
-/// core (on toolchains without computed goto both args measure the
-/// switch). The workload interleaves a guard and a fused guarded command
-/// — the two program shapes the engines dispatch per step. KEY_RATIO in
-/// compare_benches.py; the ISSUE-7 target is >= 1.15x threaded/switch.
-void BM_DispatchThreadedVsSwitch(benchmark::State& state) {
-  const bool saved = threadedDispatchEnabled();
-  setThreadedDispatchEnabled(state.range(0) != 0);
-  const ExprProgram guard = compileLocal(guardExpr());
-  const ExprProgram wide = compileLocal(wideGuard(16));
-  std::vector<Assign> block = actionBlock();
-  block[0].value = sharedMix();
-  const ExprProgram fused = compileFused(commandGuard(), block, localSlots());
-  std::vector<Value> vars = makeFrame();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(guard.run(std::span<const Value>(vars), 0));
-    benchmark::DoNotOptimize(wide.run(std::span<const Value>(vars), 0));
-    benchmark::DoNotOptimize(fused.run(std::span<Value>(vars), 0));
-    vars[0] = (vars[0] ^ 1) & 0xff;
-  }
-  state.SetItemsProcessed(state.iterations() * 3);
-  setThreadedDispatchEnabled(saved);
-}
-BENCHMARK(BM_DispatchThreadedVsSwitch)->Arg(0)->Arg(1);
-
-/// runBatch over a long run of one guard program at many frame bases —
-/// the scanEnabled shape for wide same-typed connectors. Arg 0 evaluates
-/// op-by-op on the switch core (CBIP_NO_THREADED semantics); arg 1 takes
-/// the accelerated path, where the run executes through the strip-mined
-/// block executor on the jump-free batch form.
-void BM_BatchBlockedVsScalar(benchmark::State& state) {
-  const bool saved = threadedDispatchEnabled();
-  setThreadedDispatchEnabled(state.range(0) != 0);
-  const ExprProgram guard = compileLocal(guardExpr());
-  constexpr int kBases = 64;
-  std::vector<Value> frame(8 * kBases);
-  for (std::size_t i = 0; i < frame.size(); ++i) {
-    frame[i] = makeFrame()[i % 8] + static_cast<Value>(i / 8);
-  }
-  std::vector<BatchOp> ops;
-  for (int b = 0; b < kBases; ++b) ops.push_back(BatchOp{&guard, b * 8});
-  std::vector<Value> out(ops.size());
-  for (auto _ : state) {
-    ExprProgram::runBatch(ops, frame, out);
-    benchmark::DoNotOptimize(out.data());
-    frame[0] ^= 1;
-  }
-  state.SetItemsProcessed(state.iterations() * kBases);
-  setThreadedDispatchEnabled(saved);
-}
-BENCHMARK(BM_BatchBlockedVsScalar)->Arg(0)->Arg(1);
-
 void BM_CompileOnce(benchmark::State& state) {
   // The one-time lowering cost amortized away by the per-step savings.
   const Expr g = wideGuard(32);

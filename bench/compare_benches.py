@@ -50,10 +50,6 @@ KEY_RATIOS = [
      "BM_SequentialEngineFusedVsUnfused/0"),
     ("bench_engine", "BM_SequentialEngineAnalyzedVsUnanalyzed/1",
      "BM_SequentialEngineAnalyzedVsUnanalyzed/0"),
-    ("bench_engine", "BM_SequentialEngineThreadedVsSwitch/1",
-     "BM_SequentialEngineThreadedVsSwitch/0"),
-    ("bench_expr", "BM_DispatchThreadedVsSwitch/1", "BM_DispatchThreadedVsSwitch/0"),
-    ("bench_expr", "BM_BatchBlockedVsScalar/1", "BM_BatchBlockedVsScalar/0"),
     ("bench_dfinder", "BM_DFinderPhilosophersAnalyzedVsUnanalyzed/1",
      "BM_DFinderPhilosophersAnalyzedVsUnanalyzed/0"),
     ("bench_dfinder", "BM_DFinderPhilosophers256PipelineVsLegacy/1/real_time",
@@ -118,7 +114,7 @@ def load(path):
 def report_obs(base_obs, new_obs):
     """Informational (never gating) report of the telemetry counters each
     suite exported (src/obs, attached by run_benches.sh): execution-path
-    mix shifts — batch-scan hit rate dropping, EvalError scalar replays
+    mix shifts — batch-scan hit rate dropping, cross-shard conflicts
     appearing — that a pure timing diff cannot attribute."""
 
     def rate(counters, hits, *alternatives):
@@ -134,10 +130,6 @@ def report_obs(base_obs, new_obs):
         ("tryfire hit rate",
          lambda c: (c.get("vm.tryfire.hits", 0) / c["vm.tryfire.calls"]
                     if c.get("vm.tryfire.calls") else None)),
-        ("block replays", lambda c: c.get("vm.batch.replays")),
-        ("block lanes/block",
-         lambda c: (c["vm.batch.block_lanes"] / c["vm.batch.blocks"]
-                    if c.get("vm.batch.blocks") else None)),
         ("cross-shard conflicts",
          lambda c: c.get("engine.sharded.cross.conflicts")),
         ("stalled epochs", lambda c: c.get("engine.sharded.epochs.stalled")),

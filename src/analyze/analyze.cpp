@@ -590,14 +590,10 @@ std::size_t relaxSafeDivChecks(expr::ExprProgram& p, std::span<const Interval> s
   std::size_t relaxed = 0;
   for (const DivSite& site : facts.divSites) {
     if (!site.mayRaise) {
-      // The only sanctioned mutation of a finalized program: besides
-      // swapping the opcode it rebuilds the cached direct-threaded form,
-      // so a program that already executed (warm engine caches, lazy
-      // connector builds) can never dispatch through a stale checked
-      // handler. The eager batch form deliberately keeps its checked
-      // division — the proof says the check never fires, so relaxing it
-      // there buys nothing and the block executor stays UB-free even
-      // against stores the analysis never saw.
+      // The only sanctioned mutation of a built program. It takes
+      // effect on the next run, so a program that already executed (warm
+      // engine caches, lazy connector builds) dispatches the relaxed
+      // opcode from then on.
       p.relaxDivCheck(site.pc);
       ++relaxed;
     }

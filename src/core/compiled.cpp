@@ -271,12 +271,8 @@ bool CompiledConnector::scanEnabled(const System& system, const GlobalState& sta
   // Pass 1: walk the transition index once, collecting every non-trivial
   // transition guard of every end into one batch — end-ascending,
   // transition order, i.e. exactly the scalar evaluation order — and run
-  // it in a single bytecode pass against the gathered frame. The ops
-  // dispatch through the threaded VM core inside runBatch, and a run of
-  // >= kMinBlockRun consecutive ops sharing one guard program (ends of
-  // one type in one location) upgrades to the block-parallel executor;
-  // both preserve this op order and the first-EvalError contract, so
-  // nothing here depends on which core actually ran.
+  // it in a single bytecode pass against the gathered frame. runBatch
+  // keeps this op order and the first-EvalError contract.
   for (std::size_t e = 0; e < nEnds; ++e) {
     const ScanEnd& se = scanEnds_[e];
     const AtomicType& type = *system.instance(static_cast<std::size_t>(se.instance)).type;

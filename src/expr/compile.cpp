@@ -13,10 +13,7 @@ namespace cbip::expr {
 namespace {
 
 // Telemetry (src/obs): counts only, never steers evaluation.
-const obs::Counter g_batchBlocks("vm.batch.blocks");
-const obs::Counter g_batchLanes("vm.batch.block_lanes");
 const obs::Counter g_batchScalarOps("vm.batch.scalar_ops");
-const obs::Counter g_batchReplays("vm.batch.replays");
 
 std::atomic<bool>& compileFlag() {
   static std::atomic<bool> flag = [] {
@@ -39,15 +36,6 @@ std::atomic<bool>& fuseFlag() {
 std::atomic<bool>& analyzeFlag() {
   static std::atomic<bool> flag = [] {
     const char* env = std::getenv("CBIP_NO_ANALYZE");
-    const bool disabled = env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
-    return !disabled;
-  }();
-  return flag;
-}
-
-std::atomic<bool>& threadedFlag() {
-  static std::atomic<bool> flag = [] {
-    const char* env = std::getenv("CBIP_NO_THREADED");
     const bool disabled = env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
     return !disabled;
   }();
@@ -527,119 +515,6 @@ class Compiler {
   std::vector<AvailEntry> avail_;
 };
 
-/// Lowers an expression into the jump-free eager batch form (see
-/// runBatch): short-circuit && / || become kAndB / kOrB and ite becomes
-/// kSelect, which is exact only when every conditionally-evaluated
-/// operand is provably raise-free (guards are pure, so eagerness has no
-/// other observable effect). `ok()` reports whether the whole tree
-/// qualified; an unqualified tree gets no batch form and runs scalar.
-class BatchLowerer {
- public:
-  explicit BatchLowerer(const SlotMap& slots) : slots_(&slots) {}
-
-  std::vector<Instr> lower(const Expr& e, int& maxStack) {
-    emit(e);
-    maxStack = maxDepth_;
-    if (!ok_) return {};
-    return std::move(code_);
-  }
-
- private:
-  /// Conservative raise-freedom: division and modulo may raise unless
-  /// the divisor is a literal outside {0, -1} (a literal -1 admits the
-  /// INT64_MIN / -1 overflow raise). Everything else is total.
-  static bool mayRaise(const Expr& e) {
-    if (e.op() == Op::kDiv || e.op() == Op::kMod) {
-      const Expr& d = e.child(1);
-      if (!(d.op() == Op::kLit && d.literal() != 0 && d.literal() != -1)) return true;
-    }
-    for (std::size_t i = 0; i < e.arity(); ++i) {
-      if (mayRaise(e.child(i))) return true;
-    }
-    return false;
-  }
-
-  void push(Instr in, int delta) {
-    code_.push_back(in);
-    depth_ += delta;
-    if (depth_ > maxDepth_) maxDepth_ = depth_;
-  }
-
-  void emit(const Expr& e) {
-    if (!ok_) return;
-    switch (e.op()) {
-      case Op::kLit:
-        push(Instr{OpCode::kPush, 0, e.literal()}, 1);
-        return;
-      case Op::kVar: {
-        const int slot = (*slots_)(e.ref());
-        require(slot >= 0, "batch lowering: SlotMap returned a negative slot");
-        push(Instr{OpCode::kLoad, slot, 0}, 1);
-        return;
-      }
-      case Op::kNeg:
-      case Op::kAbs:
-      case Op::kNot:
-        emit(e.child(0));
-        push(Instr{e.op() == Op::kNeg   ? OpCode::kNeg
-                   : e.op() == Op::kAbs ? OpCode::kAbs
-                                        : OpCode::kNot,
-                   0, 0},
-             0);
-        return;
-      case Op::kAnd:
-      case Op::kOr:
-        if (mayRaise(e.child(1))) {
-          ok_ = false;
-          return;
-        }
-        emit(e.child(0));
-        emit(e.child(1));
-        push(Instr{e.op() == Op::kAnd ? OpCode::kAndB : OpCode::kOrB, 0, 0}, -1);
-        return;
-      case Op::kIte:
-        if (mayRaise(e.child(1)) || mayRaise(e.child(2))) {
-          ok_ = false;
-          return;
-        }
-        emit(e.child(0));
-        emit(e.child(1));
-        emit(e.child(2));
-        push(Instr{OpCode::kSelect, 0, 0}, -2);
-        return;
-      default: {  // binary arithmetic / comparison
-        emit(e.child(0));
-        emit(e.child(1));
-        OpCode op;
-        switch (e.op()) {
-          case Op::kAdd: op = OpCode::kAdd; break;
-          case Op::kSub: op = OpCode::kSub; break;
-          case Op::kMul: op = OpCode::kMul; break;
-          case Op::kDiv: op = OpCode::kDiv; break;
-          case Op::kMod: op = OpCode::kMod; break;
-          case Op::kMin: op = OpCode::kMin; break;
-          case Op::kMax: op = OpCode::kMax; break;
-          case Op::kEq: op = OpCode::kEq; break;
-          case Op::kNe: op = OpCode::kNe; break;
-          case Op::kLt: op = OpCode::kLt; break;
-          case Op::kLe: op = OpCode::kLe; break;
-          case Op::kGt: op = OpCode::kGt; break;
-          case Op::kGe: op = OpCode::kGe; break;
-          default: throw ModelError("batch lowering: not a binary operator");
-        }
-        push(Instr{op, 0, 0}, -1);
-        return;
-      }
-    }
-  }
-
-  const SlotMap* slots_;
-  std::vector<Instr> code_;
-  bool ok_ = true;
-  int depth_ = 0;
-  int maxDepth_ = 0;
-};
-
 }  // namespace
 
 Value ExprProgram::run(std::span<const Value> frame, std::int32_t base) const {
@@ -657,9 +532,6 @@ Value ExprProgram::run(std::span<const Value> frame, std::int32_t base) const {
     heapBuf.resize(static_cast<std::size_t>(maxStack_ + tempCount_));
     stack = heapBuf.data();
   }
-#if CBIP_HAS_COMPUTED_GOTO
-  if (!threaded_.empty() && threadedDispatchEnabled()) return execThreaded(frame, base, stack);
-#endif
   return exec(frame, base, stack);
 }
 
@@ -672,9 +544,6 @@ Value ExprProgram::run(std::span<Value> frame, std::int32_t base) const {
     heapBuf.resize(static_cast<std::size_t>(maxStack_ + tempCount_));
     stack = heapBuf.data();
   }
-#if CBIP_HAS_COMPUTED_GOTO
-  if (!threaded_.empty() && threadedDispatchEnabled()) return execThreaded(frame, base, stack);
-#endif
   return exec(frame, base, stack);
 }
 
@@ -696,152 +565,10 @@ void ExprProgram::runBatch(std::span<const BatchOp> ops, std::span<const Value> 
     heapBuf.resize(static_cast<std::size_t>(need));
     stack = heapBuf.data();
   }
-  const bool accelerated = threadedDispatchEnabled();
-  // Lane-contiguous stacks for the block executor, sized for the widest
-  // batch form in the batch (lazily, most batches never need it).
-  std::vector<Value> laneBuf;
-  const std::size_t n = ops.size();
-  std::size_t i = 0;
-  while (i < n) {
-    const ExprProgram& p = *ops[i].program;
-    std::size_t j = i + 1;
-    if (accelerated && p.hasBatchForm()) {
-      while (j < n && ops[j].program == &p) ++j;
-      if (j - i >= kMinBlockRun) {
-        // Strip-mine the run in blocks of up to kBatchLanes bases. An
-        // EvalError anywhere in a block falls back to scalar replay of
-        // that block from its first op, reproducing the scalar error
-        // point and partial-out contract exactly (the batch form is pure,
-        // so the abandoned block left no trace).
-        for (std::size_t b = i; b < j; b += kBatchLanes) {
-          const std::size_t lanes = std::min(kBatchLanes, j - b);
-          const std::size_t needLanes = static_cast<std::size_t>(p.batchMaxStack_) * lanes;
-          if (laneBuf.size() < needLanes) laneBuf.resize(needLanes);
-          g_batchBlocks.add();
-          g_batchLanes.add(lanes);
-          try {
-            p.execBlock(ops.subspan(b, lanes), frame, laneBuf.data(), out.subspan(b, lanes));
-          } catch (const EvalError&) {
-            g_batchReplays.add();
-            for (std::size_t k = b; k < b + lanes; ++k) {
-              out[k] = p.exec(frame, ops[k].base, stack);
-            }
-            requireEval(false, "runBatch: block raised but scalar replay did not");
-          }
-        }
-        i = j;
-        continue;
-      }
-    }
-    g_batchScalarOps.add(j - i);
-    for (; i < j; ++i) {
-#if CBIP_HAS_COMPUTED_GOTO
-      if (accelerated && !ops[i].program->threaded_.empty()) {
-        out[i] = ops[i].program->execThreaded(frame, ops[i].base, stack);
-        continue;
-      }
-#endif
-      out[i] = ops[i].program->exec(frame, ops[i].base, stack);
-    }
+  g_batchScalarOps.add(ops.size());
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    out[i] = ops[i].program->exec(frame, ops[i].base, stack);
   }
-}
-
-void ExprProgram::execBlock(std::span<const BatchOp> ops, std::span<const Value> frame,
-                            Value* lanes, std::span<Value> out) const {
-  // One jump-free instruction stream over `ops.size()` frame bases in
-  // lockstep. The stack is an array of lane rows: depth d lives at
-  // lanes[d * nLanes .. d * nLanes + nLanes), so every per-opcode inner
-  // loop walks contiguous memory (the strip-mined loops below are the
-  // vectorization surface).
-  const std::size_t nLanes = ops.size();
-  const Instr* code = batch_.data();
-  const std::size_t n = batch_.size();
-  const Value* f = frame.data();
-  std::size_t sp = 0;  // stack depth in rows
-  for (std::size_t pc = 0; pc < n; ++pc) {
-    const Instr& in = code[pc];
-    switch (in.op) {
-      case OpCode::kPush: {
-        Value* row = lanes + sp * nLanes;
-        for (std::size_t l = 0; l < nLanes; ++l) row[l] = in.imm;
-        ++sp;
-        break;
-      }
-      case OpCode::kLoad: {
-        Value* row = lanes + sp * nLanes;
-        for (std::size_t l = 0; l < nLanes; ++l) {
-          row[l] = f[static_cast<std::size_t>(ops[l].base + in.arg)];
-        }
-        ++sp;
-        break;
-      }
-#define CBIP_BLOCK_BINOP(opcode, expr_)                               \
-  case OpCode::opcode: {                                              \
-    --sp;                                                             \
-    Value* a = lanes + (sp - 1) * nLanes;                             \
-    const Value* b = lanes + sp * nLanes;                             \
-    for (std::size_t l = 0; l < nLanes; ++l) a[l] = (expr_);          \
-    break;                                                            \
-  }
-      CBIP_BLOCK_BINOP(kAdd, wrapAdd(a[l], b[l]))
-      CBIP_BLOCK_BINOP(kSub, wrapSub(a[l], b[l]))
-      CBIP_BLOCK_BINOP(kMul, wrapMul(a[l], b[l]))
-      CBIP_BLOCK_BINOP(kMin, a[l] < b[l] ? a[l] : b[l])
-      CBIP_BLOCK_BINOP(kMax, a[l] > b[l] ? a[l] : b[l])
-      CBIP_BLOCK_BINOP(kEq, a[l] == b[l] ? 1 : 0)
-      CBIP_BLOCK_BINOP(kNe, a[l] != b[l] ? 1 : 0)
-      CBIP_BLOCK_BINOP(kLt, a[l] < b[l] ? 1 : 0)
-      CBIP_BLOCK_BINOP(kLe, a[l] <= b[l] ? 1 : 0)
-      CBIP_BLOCK_BINOP(kGt, a[l] > b[l] ? 1 : 0)
-      CBIP_BLOCK_BINOP(kGe, a[l] >= b[l] ? 1 : 0)
-      CBIP_BLOCK_BINOP(kAndB, (a[l] != 0 && b[l] != 0) ? 1 : 0)
-      CBIP_BLOCK_BINOP(kOrB, (a[l] != 0 || b[l] != 0) ? 1 : 0)
-#undef CBIP_BLOCK_BINOP
-      case OpCode::kDiv:
-      case OpCode::kMod: {
-        // The checks stay per lane; a raise aborts the whole block and
-        // the caller replays it scalar (which re-raises at the scalar
-        // error point).
-        --sp;
-        Value* a = lanes + (sp - 1) * nLanes;
-        const Value* b = lanes + sp * nLanes;
-        const bool isDiv = in.op == OpCode::kDiv;
-        for (std::size_t l = 0; l < nLanes; ++l) {
-          requireEval(b[l] != 0, isDiv ? "division by zero" : "modulo by zero");
-          requireEval(!divOverflows(a[l], b[l]), isDiv ? "integer overflow in division"
-                                                       : "integer overflow in modulo");
-          a[l] = isDiv ? a[l] / b[l] : a[l] % b[l];
-        }
-        break;
-      }
-      case OpCode::kNeg:
-      case OpCode::kAbs:
-      case OpCode::kNot: {
-        Value* a = lanes + (sp - 1) * nLanes;
-        if (in.op == OpCode::kNeg) {
-          for (std::size_t l = 0; l < nLanes; ++l) a[l] = wrapNeg(a[l]);
-        } else if (in.op == OpCode::kAbs) {
-          for (std::size_t l = 0; l < nLanes; ++l) a[l] = wrapAbs(a[l]);
-        } else {
-          for (std::size_t l = 0; l < nLanes; ++l) a[l] = a[l] == 0 ? 1 : 0;
-        }
-        break;
-      }
-      case OpCode::kSelect: {
-        sp -= 2;
-        Value* c = lanes + (sp - 1) * nLanes;
-        const Value* t = lanes + sp * nLanes;
-        const Value* e = lanes + (sp + 1) * nLanes;
-        for (std::size_t l = 0; l < nLanes; ++l) c[l] = c[l] != 0 ? t[l] : e[l];
-        break;
-      }
-      default:
-        // Jumps, stores and CSE temps never reach a batch form.
-        requireEval(false, "execBlock: foreign opcode in batch form");
-    }
-  }
-  requireEval(sp == 1, "execBlock: corrupt batch form (stack imbalance)");
-  for (std::size_t l = 0; l < nLanes; ++l) out[l] = lanes[l];
 }
 
 Value ExprProgram::exec(std::span<const Value> frame, std::int32_t base, Value* stack) const {
@@ -913,249 +640,16 @@ Value ExprProgram::exec(std::span<const Value> frame, std::int32_t base, Value* 
         break;
       case OpCode::kTee: temps[in.arg] = stack[sp - 1]; break;
       case OpCode::kLoadTmp: stack[sp++] = temps[in.arg]; break;
-      // The eager connectives live in batch forms (execBlock); handled
-      // here too so every opcode has a scalar semantics on both cores.
-      case OpCode::kAndB:
-        --sp;
-        stack[sp - 1] = (stack[sp - 1] != 0 && stack[sp] != 0) ? 1 : 0;
-        break;
-      case OpCode::kOrB:
-        --sp;
-        stack[sp - 1] = (stack[sp - 1] != 0 || stack[sp] != 0) ? 1 : 0;
-        break;
-      case OpCode::kSelect:
-        sp -= 2;
-        stack[sp - 1] = stack[sp - 1] != 0 ? stack[sp] : stack[sp + 1];
-        break;
     }
   }
   requireEval(sp == 1, "ExprProgram::run: corrupt program (stack imbalance)");
   return stack[0];
-}
-
-#if CBIP_HAS_COMPUTED_GOTO
-Value ExprProgram::execThreaded(std::span<const Value> frame, std::int32_t base, Value* stack,
-                                const void* const** labelsOut) const {
-  // Handler label table, indexed by OpCode value, halt sentinel last.
-  // The addresses are function-local, so finalize() fetches the table
-  // through the labelsOut mode instead of duplicating it elsewhere.
-  static const void* const kLabels[kOpCodeCount + 1] = {
-      &&L_Push, &&L_Load,
-      &&L_Add, &&L_Sub, &&L_Mul, &&L_Div, &&L_Mod,
-      &&L_Min, &&L_Max,
-      &&L_Eq, &&L_Ne, &&L_Lt, &&L_Le, &&L_Gt, &&L_Ge,
-      &&L_Neg, &&L_Abs, &&L_Not,
-      &&L_Jump, &&L_JumpIfZero, &&L_JumpIfNonZero,
-      &&L_Store, &&L_Tee, &&L_LoadTmp,
-      &&L_DivUnchecked, &&L_ModUnchecked,
-      &&L_AndB, &&L_OrB, &&L_Select,
-      &&L_Halt};
-  if (labelsOut != nullptr) {
-    *labelsOut = kLabels;
-    return 0;
-  }
-  // Same state as exec(), but dispatch is one indirect goto per
-  // instruction: `ip` walks the threaded form, each handler advances it
-  // (jumps rebase it against `t`) and jumps straight to the next
-  // handler. The halt sentinel appended by finalize() ends the walk — no
-  // per-instruction bounds check anywhere. Every opcode body is the
-  // switch core's, verbatim: the two cores are bit-identical, including
-  // EvalError messages and order.
-  const ThreadedInstr* const t = threaded_.data();
-  const ThreadedInstr* ip = t;
-  Value* temps = stack + maxStack_;
-  Value* frameMut = const_cast<Value*>(frame.data());
-  int sp = 0;
-#define CBIP_NEXT() goto* (ip->label)
-  CBIP_NEXT();
-L_Push:
-  stack[sp++] = ip->imm;
-  ++ip;
-  CBIP_NEXT();
-L_Load:
-  stack[sp++] = frame[static_cast<std::size_t>(base + ip->arg)];
-  ++ip;
-  CBIP_NEXT();
-L_Add:
-  --sp;
-  stack[sp - 1] = wrapAdd(stack[sp - 1], stack[sp]);
-  ++ip;
-  CBIP_NEXT();
-L_Sub:
-  --sp;
-  stack[sp - 1] = wrapSub(stack[sp - 1], stack[sp]);
-  ++ip;
-  CBIP_NEXT();
-L_Mul:
-  --sp;
-  stack[sp - 1] = wrapMul(stack[sp - 1], stack[sp]);
-  ++ip;
-  CBIP_NEXT();
-L_Div:
-  --sp;
-  requireEval(stack[sp] != 0, "division by zero");
-  requireEval(!divOverflows(stack[sp - 1], stack[sp]), "integer overflow in division");
-  stack[sp - 1] /= stack[sp];
-  ++ip;
-  CBIP_NEXT();
-L_Mod:
-  --sp;
-  requireEval(stack[sp] != 0, "modulo by zero");
-  requireEval(!divOverflows(stack[sp - 1], stack[sp]), "integer overflow in modulo");
-  stack[sp - 1] %= stack[sp];
-  ++ip;
-  CBIP_NEXT();
-L_Min:
-  --sp;
-  if (stack[sp] < stack[sp - 1]) stack[sp - 1] = stack[sp];
-  ++ip;
-  CBIP_NEXT();
-L_Max:
-  --sp;
-  if (stack[sp] > stack[sp - 1]) stack[sp - 1] = stack[sp];
-  ++ip;
-  CBIP_NEXT();
-L_Eq:
-  --sp;
-  stack[sp - 1] = stack[sp - 1] == stack[sp] ? 1 : 0;
-  ++ip;
-  CBIP_NEXT();
-L_Ne:
-  --sp;
-  stack[sp - 1] = stack[sp - 1] != stack[sp] ? 1 : 0;
-  ++ip;
-  CBIP_NEXT();
-L_Lt:
-  --sp;
-  stack[sp - 1] = stack[sp - 1] < stack[sp] ? 1 : 0;
-  ++ip;
-  CBIP_NEXT();
-L_Le:
-  --sp;
-  stack[sp - 1] = stack[sp - 1] <= stack[sp] ? 1 : 0;
-  ++ip;
-  CBIP_NEXT();
-L_Gt:
-  --sp;
-  stack[sp - 1] = stack[sp - 1] > stack[sp] ? 1 : 0;
-  ++ip;
-  CBIP_NEXT();
-L_Ge:
-  --sp;
-  stack[sp - 1] = stack[sp - 1] >= stack[sp] ? 1 : 0;
-  ++ip;
-  CBIP_NEXT();
-L_Neg:
-  stack[sp - 1] = wrapNeg(stack[sp - 1]);
-  ++ip;
-  CBIP_NEXT();
-L_Abs:
-  stack[sp - 1] = wrapAbs(stack[sp - 1]);
-  ++ip;
-  CBIP_NEXT();
-L_Not:
-  stack[sp - 1] = stack[sp - 1] == 0 ? 1 : 0;
-  ++ip;
-  CBIP_NEXT();
-L_Jump:
-  ip = t + ip->arg;
-  CBIP_NEXT();
-L_JumpIfZero: {
-  const ThreadedInstr* tgt = t + ip->arg;
-  ++ip;
-  --sp;
-  if (stack[sp] == 0) ip = tgt;
-  CBIP_NEXT();
-}
-L_JumpIfNonZero: {
-  const ThreadedInstr* tgt = t + ip->arg;
-  ++ip;
-  --sp;
-  if (stack[sp] != 0) ip = tgt;
-  CBIP_NEXT();
-}
-L_Store:
-  --sp;
-  frameMut[static_cast<std::size_t>(base + ip->arg)] = stack[sp];
-  ++ip;
-  CBIP_NEXT();
-L_Tee:
-  temps[ip->arg] = stack[sp - 1];
-  ++ip;
-  CBIP_NEXT();
-L_LoadTmp:
-  stack[sp++] = temps[ip->arg];
-  ++ip;
-  CBIP_NEXT();
-L_DivUnchecked:
-  --sp;
-  stack[sp - 1] /= stack[sp];
-  ++ip;
-  CBIP_NEXT();
-L_ModUnchecked:
-  --sp;
-  stack[sp - 1] %= stack[sp];
-  ++ip;
-  CBIP_NEXT();
-L_AndB:
-  --sp;
-  stack[sp - 1] = (stack[sp - 1] != 0 && stack[sp] != 0) ? 1 : 0;
-  ++ip;
-  CBIP_NEXT();
-L_OrB:
-  --sp;
-  stack[sp - 1] = (stack[sp - 1] != 0 || stack[sp] != 0) ? 1 : 0;
-  ++ip;
-  CBIP_NEXT();
-L_Select:
-  sp -= 2;
-  stack[sp - 1] = stack[sp - 1] != 0 ? stack[sp] : stack[sp + 1];
-  ++ip;
-  CBIP_NEXT();
-L_Halt:
-  requireEval(sp == 1, "ExprProgram::run: corrupt program (stack imbalance)");
-  return stack[0];
-#undef CBIP_NEXT
-}
-#endif  // CBIP_HAS_COMPUTED_GOTO
-
-void ExprProgram::finalize() {
-#if CBIP_HAS_COMPUTED_GOTO
-  const void* const* labels = nullptr;
-  execThreaded({}, 0, nullptr, &labels);
-  threaded_.clear();
-  threaded_.reserve(code_.size() + 1);
-  for (const Instr& in : code_) {
-    threaded_.push_back(ThreadedInstr{labels[static_cast<int>(in.op)], in.arg, in.imm});
-  }
-  // Halt sentinel: jump targets may legally equal code_.size() (patched
-  // to the program end), and sequential fall-off lands here too.
-  threaded_.push_back(ThreadedInstr{labels[kOpCodeCount], 0, 0});
-#endif
-}
-
-bool ExprProgram::threadedInSync() const {
-#if CBIP_HAS_COMPUTED_GOTO
-  const void* const* labels = nullptr;
-  execThreaded({}, 0, nullptr, &labels);
-  if (threaded_.size() != code_.size() + 1) return false;
-  for (std::size_t i = 0; i < code_.size(); ++i) {
-    if (threaded_[i].label != labels[static_cast<int>(code_[i].op)] ||
-        threaded_[i].arg != code_[i].arg || threaded_[i].imm != code_[i].imm) {
-      return false;
-    }
-  }
-  return threaded_.back().label == labels[kOpCodeCount];
-#else
-  return true;
-#endif
 }
 
 ExprProgram ExprProgram::constant(Value v) {
   ExprProgram p;
   p.code_.push_back(Instr{OpCode::kPush, 0, v});
   p.maxStack_ = 1;
-  p.finalize();
   return p;
 }
 
@@ -1169,11 +663,6 @@ void ExprProgram::relaxDivCheck(std::size_t pc) {
   } else {
     require(false, "relaxDivCheck: pc does not hold a checked division");
   }
-  // Post-finalization mutation: the cached threaded form would otherwise
-  // keep dispatching to the checked handler. The batch form keeps its
-  // checked division on purpose — the relaxation proof says those checks
-  // never fire, so the block path stays bit-identical without a rebuild.
-  finalize();
 }
 
 ExprProgram compile(const Expr& e, const SlotMap& slots) {
@@ -1181,11 +670,6 @@ ExprProgram compile(const Expr& e, const SlotMap& slots) {
   ExprProgram p;
   p.code_ = c.lower(e);
   p.maxStack_ = stackNeed(e);
-  // Guard programs are pure, so they may also get the jump-free eager
-  // batch form runBatch block-executes (empty when the tree has a
-  // conditionally-evaluated operand that may raise).
-  p.batch_ = BatchLowerer(slots).lower(e, p.batchMaxStack_);
-  p.finalize();
   return p;
 }
 
@@ -1210,7 +694,6 @@ ExprProgram compileFused(const Expr& guard, std::span<const Assign> actions,
     if (k > need) need = k;
   }
   p.maxStack_ = need;
-  p.finalize();
   return p;
 }
 
@@ -1225,9 +708,5 @@ void setFusionEnabled(bool on) { fuseFlag().store(on, std::memory_order_relaxed)
 bool analysisEnabled() { return analyzeFlag().load(std::memory_order_relaxed); }
 
 void setAnalysisEnabled(bool on) { analyzeFlag().store(on, std::memory_order_relaxed); }
-
-bool threadedDispatchEnabled() { return threadedFlag().load(std::memory_order_relaxed); }
-
-void setThreadedDispatchEnabled(bool on) { threadedFlag().store(on, std::memory_order_relaxed); }
 
 }  // namespace cbip::expr

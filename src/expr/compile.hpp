@@ -43,21 +43,14 @@
 // program; CBIP_NO_FUSE (or setFusionEnabled(false)) restores the
 // separate guard-program + per-action-program dispatches, bit-identically.
 //
-// Execution cores: every program carries two interchangeable evaluation
-// cores — the portable switch interpreter (exec) and, on GCC/Clang, a
-// computed-goto direct-threaded core (execThreaded) built at finalization
-// by translating each opcode into the address of its handler label, so
-// per-instruction dispatch is one indirect goto instead of a bounds-checked
-// switch. Guards compile with truelist/falselist backpatching: a
-// short-circuit && / || chain emits conditional jumps wired directly to
-// their ultimate targets (the action suffix, the FAIL label, the 0/1
-// materialization) instead of materializing and re-testing a boolean at
-// every nesting level. runBatch additionally strip-mines runs of the same
-// guard program over many frame bases through a jump-free eager "batch
-// form" (see runBatch). CBIP_NO_THREADED (or
-// setThreadedDispatchEnabled(false)) routes everything back through the
-// switch core, op by op — traces, results and first-EvalError order are
-// bit-identical on every combination of cores.
+// Execution: every program runs on one portable switch interpreter
+// (ExprProgram::exec), op by op over a flat instruction array. Guards
+// compile with truelist/falselist backpatching: a short-circuit && / ||
+// chain emits conditional jumps wired directly to their ultimate targets
+// (the action suffix, the FAIL label, the 0/1 materialization) instead of
+// materializing and re-testing a boolean at every nesting level.
+// runBatch evaluates many programs over one shared frame with a single
+// stack set-up (see runBatch).
 #pragma once
 
 #include <cstdint>
@@ -66,19 +59,6 @@
 #include <vector>
 
 #include "expr/expr.hpp"
-
-// Direct-threaded dispatch needs the GNU address-of-label extension
-// (&&label / goto *p), available on GCC and Clang. Elsewhere — or when a
-// build forces it off with -DCBIP_NO_COMPUTED_GOTO (the
-// CBIP_FORCE_SWITCH_DISPATCH CMake option) — the portable switch
-// interpreter is the only execution core and the threaded form is never
-// built. The two cores are bit-identical, including which EvalError a
-// doomed program raises first; CI compiles and tests both.
-#if !defined(CBIP_NO_COMPUTED_GOTO) && (defined(__GNUC__) || defined(__clang__))
-#define CBIP_HAS_COMPUTED_GOTO 1
-#else
-#define CBIP_HAS_COMPUTED_GOTO 0
-#endif
 
 namespace cbip::expr {
 
@@ -110,38 +90,15 @@ enum class OpCode : std::uint8_t {
   // is exactly what the sanitizer CI legs would catch on an analyzer bug).
   kDivUnchecked,
   kModUnchecked,
-  // Batch-form only (never in code_): eager boolean connectives and
-  // select, the if-converted twins of the short-circuit jumps. They are
-  // only emitted for operands the compiler proved side-effect- and
-  // raise-free, so eager evaluation is indistinguishable from the
-  // short-circuit original — which is what makes the strip-mined
-  // block executor (one jump-free instruction stream over many frame
-  // bases at once) exact.
-  kAndB,    // pop b, a; push (a != 0) && (b != 0)
-  kOrB,     // pop b, a; push (a != 0) || (b != 0)
-  kSelect,  // pop f, t, c; push c != 0 ? t : f
 };
 
-/// One past the last OpCode value (sizes the threaded label table).
-inline constexpr int kOpCodeCount = static_cast<int>(OpCode::kSelect) + 1;
+/// One past the last OpCode value.
+inline constexpr int kOpCodeCount = static_cast<int>(OpCode::kModUnchecked) + 1;
 
 struct Instr {
   OpCode op = OpCode::kPush;
   std::int32_t arg = 0;  // kLoad: frame slot; jumps: target pc
   Value imm = 0;         // kPush: the literal
-};
-
-/// One instruction of the direct-threaded form: the opcode is replaced by
-/// the address of its handler label inside the threaded execution core,
-/// so dispatch is a single indirect `goto` instead of a bounds-checked
-/// switch. Jump args stay instruction *indices* (resolved against the
-/// threaded array base at run time), which keeps the form relocatable
-/// under copies and moves. On toolchains without computed goto the
-/// threaded vector simply stays empty.
-struct ThreadedInstr {
-  const void* label = nullptr;
-  std::int32_t arg = 0;
-  Value imm = 0;
 };
 
 class ExprProgram;
@@ -200,26 +157,10 @@ class ExprProgram {
   /// Replaces the kDiv/kMod at `pc` with its unchecked twin (see the
   /// OpCode comment). Caller contract: the abstract interpreter proved
   /// the site can never raise — this is the only sanctioned mutation of a
-  /// built program, used by analyze::relaxSafeDivChecks. Rebuilds the
-  /// cached threaded form (the mutation would otherwise leave a stale
-  /// label dispatching the checked handler). Throws ModelError when `pc`
-  /// does not hold a checked division.
+  /// built program, used by analyze::relaxSafeDivChecks. Takes effect on
+  /// the next run, even for a program that already executed. Throws
+  /// ModelError when `pc` does not hold a checked division.
   void relaxDivCheck(std::size_t pc);
-
-  /// True when the cached direct-threaded form mirrors code_ — same
-  /// length plus the halt sentinel, each instruction carrying the handler
-  /// label of its opcode. Trivially true on builds without computed goto.
-  /// Exists for the post-finalization-mutator regression tests; execution
-  /// never consults it (finalization keeps the form in sync by
-  /// construction).
-  bool threadedInSync() const;
-
-  /// True when the program has a jump-free eager batch form that the
-  /// strip-mined block executor can run over many frame bases at once
-  /// (built by compile() when every conditionally-evaluated operand is
-  /// provably raise-free; fused and analysis-stamped programs never have
-  /// one).
-  bool hasBatchForm() const { return !batch_.empty(); }
 
   /// Batch evaluation over one shared frame: `out[i] =
   /// ops[i].program->run(frame, ops[i].base)` for every i, in order, with
@@ -232,23 +173,8 @@ class ExprProgram {
   /// out[0..i-1] already written. `ops.size()` must equal `out.size()` and
   /// every op's program must be non-empty (trivially-true guards are
   /// skipped by callers, never batched).
-  ///
-  /// Block-parallel fast path: a run of >= kMinBlockRun consecutive ops
-  /// sharing one program that hasBatchForm() executes strip-mined — the
-  /// jump-free eager form runs instruction-by-instruction over up to
-  /// kBatchLanes frame bases at once (lane-contiguous stacks, so the
-  /// per-opcode inner loops vectorize). The first-EvalError contract
-  /// survives exactly: a raise anywhere in a block discards the block's
-  /// scratch and replays it scalar, lane by lane in op order, reproducing
-  /// the scalar error point bit-identically (batch forms only exist for
-  /// pure read-only programs, so a discarded block has no side effects).
   static void runBatch(std::span<const BatchOp> ops, std::span<const Value> frame,
                        std::span<Value> out);
-
-  /// Block-executor geometry, exposed for tests and benches: minimum
-  /// same-program run length worth strip-mining, and lanes per block.
-  static constexpr std::size_t kMinBlockRun = 4;
-  static constexpr std::size_t kBatchLanes = 16;
 
  private:
   friend ExprProgram compile(const Expr&, const SlotMap&);
@@ -261,35 +187,9 @@ class ExprProgram {
   /// overloads pass a const frame through here unchanged.
   Value exec(std::span<const Value> frame, std::int32_t base, Value* stack) const;
 
-#if CBIP_HAS_COMPUTED_GOTO
-  /// Direct-threaded twin of exec(): same contract, dispatches by
-  /// indirect goto through the labels cached in threaded_. When
-  /// `labelsOut` is non-null the call only publishes the handler label
-  /// table (the addresses are function-local) and executes nothing —
-  /// finalize() uses that mode to translate code_.
-  Value execThreaded(std::span<const Value> frame, std::int32_t base, Value* stack,
-                     const void* const** labelsOut = nullptr) const;
-#endif
-
-  /// Strip-mined executor for the eager batch form: evaluates batch_ over
-  /// ops.size() (<= kBatchLanes) frame bases in lockstep. `lanes` must
-  /// hold batchMaxStack_ * ops.size() values, laid out lane-contiguous
-  /// per stack depth.
-  void execBlock(std::span<const BatchOp> ops, std::span<const Value> frame, Value* lanes,
-                 std::span<Value> out) const;
-
-  /// Builds the execution-ready forms from code_ (threaded translation;
-  /// called at the end of compilation and after every sanctioned
-  /// post-finalization mutation). Single-threaded like all program
-  /// construction — engines only run finalized programs.
-  void finalize();
-
   std::vector<Instr> code_;
-  std::vector<ThreadedInstr> threaded_;  // code_ + halt sentinel; empty without computed goto
-  std::vector<Instr> batch_;             // jump-free eager form (compile() only), often empty
   int maxStack_ = 0;
-  int batchMaxStack_ = 0;  // stack depth of batch_ (eager evaluation needs its own bound)
-  int tempCount_ = 0;      // CSE temp registers (fused programs only)
+  int tempCount_ = 0;  // CSE temp registers (fused programs only)
   bool hasStores_ = false;
 };
 
@@ -319,20 +219,6 @@ ExprProgram compileLocal(const Expr& e);
 /// EvalError a doomed evaluation raises first.
 ExprProgram compileFused(const Expr& guard, std::span<const Assign> actions,
                          const SlotMap& slots);
-
-/// True when run()/runBatch() may use the accelerated VM cores — the
-/// direct-threaded dispatch loop and the block-parallel batch executor;
-/// defaults to true unless the CBIP_NO_THREADED environment variable is
-/// set to a non-empty value other than "0". When false (or on toolchains
-/// without computed goto, for the threaded half) every evaluation routes
-/// through the portable switch interpreter, op by op, bit-identically:
-/// this is the VM-dispatch escape hatch the differential tests toggle.
-bool threadedDispatchEnabled();
-
-/// Overrides the threaded-dispatch switch (differential tests and
-/// benchmarks toggle this to compare the threaded and switch cores in
-/// one process).
-void setThreadedDispatchEnabled(bool on);
 
 /// True when the execution layer should dispatch fused guard+action
 /// programs; defaults to true unless the CBIP_NO_FUSE environment

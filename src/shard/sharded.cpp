@@ -567,11 +567,6 @@ void ShardedSystem::appendConnectorInteractions(const ShardedState& state, int c
     // the connector guard only. Evaluation order (end-ascending, then
     // transition order, then the lazily-evaluated shared guard) matches
     // the scalar path, so the first EvalError of a doomed scan agrees.
-    // Inside runBatch the ops dispatch through the threaded VM core, and
-    // a run of >= kMinBlockRun consecutive ops sharing one guard program
-    // (same type, same end order) additionally takes the block-parallel
-    // executor — both transparent here, because the batch keeps the
-    // scalar op order and first-EvalError contract bit for bit.
     const std::size_t nEnds = c.endCount();
     static thread_local CompiledConnector::ScanScratch s;
     if (s.endEnabled.size() < nEnds) s.endEnabled.resize(nEnds);

@@ -3,12 +3,10 @@
 // walking, including division-by-zero error behaviour), the fused
 // guard+action programs (fused == unfused == interpreter, value for value
 // and error for error, including the INT64_MIN / -1 and wrap-on-overflow
-// edge vectors), the VM dispatch cores (computed-goto threaded vs the
-// portable switch loop: bit-identical values, first-EvalError and partial
-// stores, full opcode coverage, the block-parallel batch executor and its
-// scalar replay), and engine-level cross-checks (bit-identical traces with
-// compilation on vs the interpreter escape hatch, with fusion on vs off,
-// and with the threaded VM core on vs off, for both engines).
+// edge vectors), the VM (full opcode coverage against the interpreter,
+// runBatch's first-EvalError contract), and engine-level cross-checks
+// (bit-identical traces with compilation on vs the interpreter escape
+// hatch, and with fusion on vs off, for both engines).
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -51,18 +49,6 @@ class FusionSwitch {
  public:
   explicit FusionSwitch(bool on) : saved_(expr::fusionEnabled()) { expr::setFusionEnabled(on); }
   ~FusionSwitch() { expr::setFusionEnabled(saved_); }
-
- private:
-  bool saved_;
-};
-
-/// Restores the threaded-dispatch (VM core) switch on scope exit.
-class ThreadedSwitch {
- public:
-  explicit ThreadedSwitch(bool on) : saved_(expr::threadedDispatchEnabled()) {
-    expr::setThreadedDispatchEnabled(on);
-  }
-  ~ThreadedSwitch() { expr::setThreadedDispatchEnabled(saved_); }
 
  private:
   bool saved_;
@@ -706,12 +692,11 @@ TEST(BatchScanDifferential, MaskSetMatchesScalarAndInterpreter) {
   }
 }
 
-// ---- VM dispatch cores (computed-goto threaded vs portable switch) -------
+// ---- VM coverage and the runBatch error contract -------------------------
 
-/// Value-or-error outcome of one evaluation. The two VM cores run the
-/// same instruction sequence, so they promise bit-identical behaviour
-/// including *which* EvalError raises first — the error message
-/// participates in equality (unlike tryEval, which the interpreter
+/// Value-or-error outcome of one evaluation. The error message
+/// participates in equality, so two evaluations on the VM agree on
+/// *which* EvalError raises first (unlike tryEval, which the interpreter
 /// comparisons use precisely because the raise order may differ there).
 struct VmOutcome {
   std::optional<Value> value;
@@ -732,170 +717,87 @@ VmOutcome vmEval(const std::function<Value()>& f) {
   }
 }
 
-class DispatchDifferential : public ::testing::TestWithParam<int> {};
-
-TEST_P(DispatchDifferential, ThreadedAndSwitchCoresAgreeBitForBit) {
-  // Random plain and fused programs under both dispatch cores: same
-  // value, same first EvalError (message equality), and the same partial
-  // stores when a fused action block raises midway. On builds without
-  // computed goto both runs take the switch core and the test degenerates
-  // to a determinism check, which is exactly the intent of the
-  // CBIP_FORCE_SWITCH_DISPATCH CI leg.
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 6007);
-  for (int round = 0; round < 200; ++round) {
-    const ExprProgram plain = expr::compileLocal(randomExpr(rng, 4));
-    const Expr guard = randomExpr(rng, 3);
-    const std::vector<Assign> actions = randomActions(rng);
-    const ExprProgram fused = expr::compileFused(guard, actions, localSlot);
-    EXPECT_TRUE(plain.threadedInSync());
-    EXPECT_TRUE(fused.threadedInSync());
-    for (int k = 0; k < 10; ++k) {
-      const std::vector<Value> vars = randomVars(rng);
-      VmOutcome plainOut[2];
-      VmOutcome fusedOut[2];
-      std::vector<Value> stores[2];
-      for (int on = 0; on < 2; ++on) {
-        const ThreadedSwitch sw(on == 1);
-        plainOut[on] = vmEval([&] { return plain.run(std::span<const Value>(vars), 0); });
-        stores[on] = vars;
-        fusedOut[on] = vmEval([&] { return fused.run(std::span<Value>(stores[on]), 0); });
-      }
-      ASSERT_EQ(plainOut[1], plainOut[0]) << guard.toString() << " round " << round;
-      ASSERT_EQ(fusedOut[1], fusedOut[0]) << guard.toString() << " round " << round;
-      // Store equality holds even when the block raised: both cores must
-      // have applied exactly the same prefix of the action block.
-      ASSERT_EQ(stores[1], stores[0]) << guard.toString() << " round " << round;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, DispatchDifferential, ::testing::Values(1, 2, 3, 4, 5));
-
-TEST(DispatchCoverage, EveryOpcodeExecutesIdenticallyOnBothCores) {
-  // A corpus that compiles to every scalar opcode, executed on both
-  // dispatch cores over frames hitting the value, raise, and overflow
-  // path of each. The three eager connectives (kAndB/kOrB/kSelect) never
-  // appear in code() — they live in batch forms only and are exercised
-  // through the block executor at the end.
-  std::vector<ExprProgram> corpus;
-  corpus.push_back(expr::compileLocal(v(0) + Expr::lit(2) - v(1) * v(2)));
-  corpus.push_back(expr::compileLocal(v(0) / v(1) + v(2) % v(3)));
-  corpus.push_back(expr::compileLocal(Expr::min(v(0), v(1)) + Expr::max(v(2), v(3))));
-  corpus.push_back(expr::compileLocal((v(0) == v(1)) + (v(0) != v(1)) + (v(0) < v(1)) +
-                                      (v(0) <= v(1)) + (v(0) > v(1)) + (v(0) >= v(1))));
-  corpus.push_back(expr::compileLocal(-v(0) + Expr::abs(v(1)) + !v(2)));
+TEST(DispatchCoverage, EveryOpcodeExecutesAndAgreesWithInterpreter) {
+  // A corpus that compiles to every opcode, executed over frames hitting
+  // the value, raise, and overflow path of each, against the tree
+  // interpreter: same outcome, and the same value whenever neither raised.
+  struct Case {
+    Expr e;
+    ExprProgram p;
+  };
+  std::vector<Case> corpus;
+  const auto add = [&](const Expr& e) { corpus.push_back(Case{e, expr::compileLocal(e)}); };
+  add(v(0) + Expr::lit(2) - v(1) * v(2));
+  add(v(0) / v(1) + v(2) % v(3));
+  add(Expr::min(v(0), v(1)) + Expr::max(v(2), v(3)));
+  add((v(0) == v(1)) + (v(0) != v(1)) + (v(0) < v(1)) + (v(0) <= v(1)) + (v(0) > v(1)) +
+      (v(0) >= v(1)));
+  add(-v(0) + Expr::abs(v(1)) + !v(2));
   // Short-circuit jumps and the 0/1 materialization (kJump and both
   // conditional jumps); the divisions keep the jumps load-bearing.
-  corpus.push_back(
-      expr::compileLocal((v(0) != Expr::lit(0)) && (Expr::lit(1) / v(0) > Expr::lit(0))));
-  corpus.push_back(
-      expr::compileLocal((v(0) == Expr::lit(0)) || (Expr::lit(1) / v(0) > Expr::lit(0))));
-  corpus.push_back(expr::compileLocal(Expr::ite(v(0), v(1) / v(0), Expr::lit(-1))));
+  add((v(0) != Expr::lit(0)) && (Expr::lit(1) / v(0) > Expr::lit(0)));
+  add((v(0) == Expr::lit(0)) || (Expr::lit(1) / v(0) > Expr::lit(0)));
+  add(Expr::ite(v(0), v(1) / v(0), Expr::lit(-1)));
   // kJumpIfNonZero comes from the inverted test the jumping-code scheme
   // emits for ! over a value operand in condition position.
-  corpus.push_back(expr::compileLocal(Expr::ite(!v(0), Expr::lit(7), v(1) / v(0))));
+  add(Expr::ite(!v(0), Expr::lit(7), v(1) / v(0)));
   // kDivUnchecked / kModUnchecked, produced the way
   // analyze::relaxSafeDivChecks does after a raise-freedom proof (literal
   // divisors outside {0, -1} here, so the relaxation is sound).
+  add(v(0) / Expr::lit(3) + v(1) % Expr::lit(5));
   {
-    ExprProgram relaxed = expr::compileLocal(v(0) / Expr::lit(3) + v(1) % Expr::lit(5));
+    ExprProgram& relaxed = corpus.back().p;
     for (std::size_t pc = 0; pc < relaxed.code().size(); ++pc) {
       const expr::OpCode op = relaxed.code()[pc].op;
       if (op == expr::OpCode::kDiv || op == expr::OpCode::kMod) relaxed.relaxDivCheck(pc);
     }
-    corpus.push_back(std::move(relaxed));
   }
   // kStore / kTee / kLoadTmp: a fused guarded command with a shared
   // subexpression crossing the guard/action boundary.
   const Expr shared = v(0) * v(1) + v(2);
+  const Expr guard = shared > Expr::lit(0);
   const std::vector<Assign> actions{Assign{VarRef{0, 3}, shared % Expr::lit(97)},
                                     Assign{VarRef{0, 2}, shared + v(3)}};
-  const ExprProgram fused = expr::compileFused(shared > Expr::lit(0), actions, localSlot);
+  const ExprProgram fused = expr::compileFused(guard, actions, localSlot);
 
   std::set<expr::OpCode> seen;
-  for (const ExprProgram& p : corpus) {
-    for (const expr::Instr& in : p.code()) seen.insert(in.op);
+  for (const Case& c : corpus) {
+    for (const expr::Instr& in : c.p.code()) seen.insert(in.op);
   }
   for (const expr::Instr& in : fused.code()) seen.insert(in.op);
   for (int op = 0; op < expr::kOpCodeCount; ++op) {
-    const auto code = static_cast<expr::OpCode>(op);
-    if (code == expr::OpCode::kAndB || code == expr::OpCode::kOrB ||
-        code == expr::OpCode::kSelect) {
-      continue;  // batch-form only, covered below
-    }
-    EXPECT_TRUE(seen.count(code)) << "opcode " << op << " missing from the coverage corpus";
+    EXPECT_TRUE(seen.count(static_cast<expr::OpCode>(op)))
+        << "opcode " << op << " missing from the coverage corpus";
   }
 
   const std::vector<std::vector<Value>> frames = {
       {3, 2, 5, -7}, {0, 0, 0, 0}, {kMin, -1, 1, 2}, {kMax, 2, -3, 4}};
-  for (const ExprProgram& p : corpus) {
-    for (const std::vector<Value>& frame : frames) {
-      VmOutcome out[2];
-      for (int on = 0; on < 2; ++on) {
-        const ThreadedSwitch sw(on == 1);
-        out[on] = vmEval([&] { return p.run(std::span<const Value>(frame), 0); });
-      }
-      ASSERT_EQ(out[1], out[0]);
+  for (const Case& c : corpus) {
+    for (std::vector<Value> frame : frames) {
+      const auto compiled = tryEval([&] { return c.p.run(std::span<const Value>(frame), 0); });
+      const auto interpreted = tryEval([&] { return c.e.eval(frame); });
+      ASSERT_EQ(compiled, interpreted) << c.e.toString();
     }
   }
   for (const std::vector<Value>& frame : frames) {
-    VmOutcome out[2];
-    std::vector<Value> stores[2];
-    for (int on = 0; on < 2; ++on) {
-      const ThreadedSwitch sw(on == 1);
-      stores[on] = frame;
-      out[on] = vmEval([&] { return fused.run(std::span<Value>(stores[on]), 0); });
+    std::vector<Value> fusedVars = frame;
+    std::vector<Value> interpVars = frame;
+    const auto viaFused = runFused(fused, fusedVars);
+    const auto viaInterp = runInterpreted(guard, actions, interpVars);
+    ASSERT_EQ(viaFused, viaInterp);
+    if (viaFused.has_value()) {
+      ASSERT_EQ(fusedVars, interpVars);
     }
-    ASSERT_EQ(out[1], out[0]);
-    ASSERT_EQ(stores[1], stores[0]);
   }
-
-  // The eager connectives: batch forms exist exactly when every
-  // conditionally-evaluated operand is raise-free, and the block executor
-  // must match the scalar core lane for lane.
-  const Expr z = Expr::lit(0);
-  const ExprProgram eager[] = {
-      expr::compileLocal((v(0) > z) && (v(1) > z)),
-      expr::compileLocal((v(0) > z) || (v(1) > z)),
-      expr::compileLocal(Expr::ite(v(0) > z, v(1), v(2) - v(3))),
-  };
-  std::vector<Value> frame(4 * 2 * ExprProgram::kBatchLanes);
-  Rng rng(97);
-  for (Value& x : frame) x = rng.range(-2, 2);
-  for (const ExprProgram& p : eager) {
-    ASSERT_TRUE(p.hasBatchForm());
-    std::vector<expr::BatchOp> ops;
-    for (std::size_t b = 0; b + 4 <= frame.size(); b += 4) {
-      ops.push_back(expr::BatchOp{&p, static_cast<std::int32_t>(b)});
-    }
-    ASSERT_GE(ops.size(), ExprProgram::kMinBlockRun);
-    std::vector<Value> blocked(ops.size());
-    std::vector<Value> scalar(ops.size());
-    {
-      const ThreadedSwitch sw(true);
-      ExprProgram::runBatch(ops, frame, blocked);
-    }
-    {
-      const ThreadedSwitch sw(false);
-      ExprProgram::runBatch(ops, frame, scalar);
-    }
-    EXPECT_EQ(blocked, scalar);
-  }
-  // A conditionally-raising operand disqualifies the eager form.
-  EXPECT_FALSE(
-      expr::compileLocal((v(0) != z) && (Expr::lit(1) / v(0) > z)).hasBatchForm());
 }
 
-TEST(RelaxDivCheck, RebuildsThreadedFormAfterFirstExecution) {
-  // relaxDivCheck mutates code_ *after* finalization — here after the
-  // program already executed once — so the cached threaded form must be
-  // rebuilt, or its stale labels would keep dispatching the checked
-  // handler. threadedInSync() is the structural check; the reruns on both
-  // cores are the behavioural one.
+TEST(RelaxDivCheck, TakesEffectAfterFirstExecution) {
+  // relaxDivCheck mutates a program that already executed once (warm
+  // engine caches hold such programs): the next run must dispatch the
+  // relaxed opcode, and copies must carry it.
   ExprProgram p = expr::compileLocal(v(0) / v(1) + v(2));
   const std::vector<Value> frame{9, 2, 1};
   EXPECT_EQ(p.run(std::span<const Value>(frame), 0), 5);
-  EXPECT_TRUE(p.threadedInSync());
   std::size_t divPc = p.code().size();
   for (std::size_t pc = 0; pc < p.code().size(); ++pc) {
     if (p.code()[pc].op == expr::OpCode::kDiv) divPc = pc;
@@ -903,15 +805,9 @@ TEST(RelaxDivCheck, RebuildsThreadedFormAfterFirstExecution) {
   ASSERT_LT(divPc, p.code().size());
   p.relaxDivCheck(divPc);
   EXPECT_EQ(p.code()[divPc].op, expr::OpCode::kDivUnchecked);
-  EXPECT_TRUE(p.threadedInSync());
-  for (int on = 0; on < 2; ++on) {
-    const ThreadedSwitch sw(on == 1);
-    EXPECT_EQ(p.run(std::span<const Value>(frame), 0), 5);
-  }
-  // Copies keep a usable threaded form (jump args are instruction
-  // indices, rebased at run time, so the form is relocatable).
+  EXPECT_EQ(p.run(std::span<const Value>(frame), 0), 5);
   const ExprProgram q = p;
-  EXPECT_TRUE(q.threadedInSync());
+  EXPECT_EQ(q.code()[divPc].op, expr::OpCode::kDivUnchecked);
   EXPECT_EQ(q.run(std::span<const Value>(frame), 0), 5);
   // Only checked div/mod sites may be relaxed: not a load, and not a
   // site that was already relaxed.
@@ -919,15 +815,12 @@ TEST(RelaxDivCheck, RebuildsThreadedFormAfterFirstExecution) {
   EXPECT_THROW(p.relaxDivCheck(divPc), ModelError);
 }
 
-TEST(RunBatch, BlockParallelReplayReproducesScalarErrorPoint) {
-  // A raise-capable (variable-divisor) but unconditionally-executed
-  // division keeps its eager batch form; a zero divisor in one lane makes
-  // the whole block raise, and the scalar replay must reproduce the
-  // switch core bit for bit: same EvalError, same written out[] prefix,
-  // untouched suffix.
+TEST(RunBatch, StopsAtFirstEvalErrorWithPrefixWritten) {
+  // A zero divisor at one op makes the batch raise the same EvalError as
+  // running that op alone, with every earlier out[] written and every
+  // later one untouched.
   const ExprProgram p = expr::compileLocal((v(0) + v(1)) / v(2) + v(3));
-  ASSERT_TRUE(p.hasBatchForm());
-  constexpr std::size_t kOps = 3 * ExprProgram::kBatchLanes;
+  constexpr std::size_t kOps = 48;
   std::vector<Value> frame(4 * kOps);
   Rng rng(31);
   for (std::size_t i = 0; i < kOps; ++i) {
@@ -940,86 +833,23 @@ TEST(RunBatch, BlockParallelReplayReproducesScalarErrorPoint) {
   for (std::size_t i = 0; i < kOps; ++i) {
     ops.push_back(expr::BatchOp{&p, static_cast<std::int32_t>(4 * i)});
   }
-  // Clean pass: block-executed and scalar results identical.
-  {
-    std::vector<Value> blocked(kOps);
-    std::vector<Value> scalar(kOps);
-    {
-      const ThreadedSwitch sw(true);
-      ExprProgram::runBatch(ops, frame, blocked);
-    }
-    {
-      const ThreadedSwitch sw(false);
-      ExprProgram::runBatch(ops, frame, scalar);
-    }
-    EXPECT_EQ(blocked, scalar);
-  }
-  // Poison a divisor inside the second block. The first block completes,
-  // the second replays scalar and re-raises at the same op.
-  frame[4 * (ExprProgram::kBatchLanes + 5) + 2] = 0;
+  constexpr std::size_t kPoisoned = 21;
+  frame[4 * kPoisoned + 2] = 0;
   constexpr Value kSentinel = 424242;
-  std::vector<Value> blocked(kOps, kSentinel);
-  std::vector<Value> scalar(kOps, kSentinel);
-  VmOutcome out[2];
-  {
-    const ThreadedSwitch sw(true);
-    out[1] = vmEval([&] {
-      ExprProgram::runBatch(ops, frame, blocked);
-      return Value{0};
-    });
+  std::vector<Value> out(kOps, kSentinel);
+  const VmOutcome batched = vmEval([&] {
+    ExprProgram::runBatch(ops, frame, out);
+    return Value{0};
+  });
+  const VmOutcome single = vmEval(
+      [&] { return p.run(std::span<const Value>(frame), ops[kPoisoned].base); });
+  ASSERT_FALSE(single.value.has_value());
+  ASSERT_EQ(batched, single);
+  for (std::size_t i = 0; i < kOps; ++i) {
+    const Value expect =
+        i < kPoisoned ? p.run(std::span<const Value>(frame), ops[i].base) : kSentinel;
+    EXPECT_EQ(out[i], expect) << "op " << i;
   }
-  {
-    const ThreadedSwitch sw(false);
-    out[0] = vmEval([&] {
-      ExprProgram::runBatch(ops, frame, scalar);
-      return Value{0};
-    });
-  }
-  ASSERT_FALSE(out[1].value.has_value());
-  ASSERT_EQ(out[1], out[0]);
-  EXPECT_EQ(blocked, scalar);
-}
-
-TEST(RunBatch, BlockParallelMatchesScalarOnRandomPrograms) {
-  // Random programs over random frame bases, block-capable or not: the
-  // accelerated runBatch (threaded dispatch + block executor) must agree
-  // with the switch-core runBatch element for element, error for error.
-  Rng rng(20260809);
-  int blockRounds = 0;
-  for (int round = 0; round < 150; ++round) {
-    const ExprProgram p = expr::compileLocal(randomExpr(rng, 3));
-    std::vector<Value> frame(64);
-    for (Value& x : frame) x = rng.range(-3, 3);
-    const std::size_t count =
-        ExprProgram::kMinBlockRun + rng.below(2 * ExprProgram::kBatchLanes);
-    std::vector<expr::BatchOp> ops;
-    for (std::size_t i = 0; i < count; ++i) {
-      ops.push_back(expr::BatchOp{&p, static_cast<std::int32_t>(rng.below(61))});
-    }
-    if (p.hasBatchForm()) ++blockRounds;
-    std::vector<Value> blocked(count, -1);
-    std::vector<Value> scalar(count, -1);
-    VmOutcome out[2];
-    {
-      const ThreadedSwitch sw(true);
-      out[1] = vmEval([&] {
-        ExprProgram::runBatch(ops, frame, blocked);
-        return Value{0};
-      });
-    }
-    {
-      const ThreadedSwitch sw(false);
-      out[0] = vmEval([&] {
-        ExprProgram::runBatch(ops, frame, scalar);
-        return Value{0};
-      });
-    }
-    ASSERT_EQ(out[1], out[0]) << "round " << round;
-    ASSERT_EQ(blocked, scalar) << "round " << round;
-  }
-  // The block path must actually have been exercised, not vacuously
-  // skipped: jump-free trees (no && / || / ite) always qualify.
-  EXPECT_GT(blockRounds, 20);
 }
 
 // ---- builder constant folding -------------------------------------------
@@ -1233,50 +1063,6 @@ TEST(EngineFusionCrossCheck, MultiThreadTracesBitIdenticalFusedVsUnfused) {
       MtOptions opt;
       opt.maxSteps = 200;
       runs[fusedOn] = engine.run(opt);
-    }
-    expectIdenticalRuns(runs[1], runs[0], names[m]);
-  }
-}
-
-TEST(EngineDispatchCrossCheck, SequentialTracesBitIdenticalThreadedVsSwitch) {
-  // The computed-goto VM core (and the block-parallel batch executor it
-  // gates) is an execution-core change only: traces, final states and
-  // step counts must be bit-identical with the core on and with the
-  // CBIP_NO_THREADED switch-dispatch fallback.
-  const System models[] = {models::philosophersAtomic(6), models::gasStation(2, 4),
-                           models::producerConsumerBounded(3, 7), models::tokenRing(8),
-                           dataExchange()};
-  const char* names[] = {"phil", "gas", "prodcons", "ring", "dataExchange"};
-  for (std::size_t m = 0; m < std::size(models); ++m) {
-    for (std::uint64_t seed : {3ULL, 17ULL, 99ULL}) {
-      RunResult runs[2];
-      for (int threadedOn = 0; threadedOn < 2; ++threadedOn) {
-        ThreadedSwitch sw(threadedOn == 1);
-        RandomPolicy policy(seed);
-        SequentialEngine engine(models[m], policy);
-        RunOptions opt;
-        opt.maxSteps = 300;
-        runs[threadedOn] = engine.run(opt);
-      }
-      expectIdenticalRuns(runs[1], runs[0],
-                          std::string(names[m]) + " seed " + std::to_string(seed));
-    }
-  }
-}
-
-TEST(EngineDispatchCrossCheck, MultiThreadTracesBitIdenticalThreadedVsSwitch) {
-  const System models[] = {models::philosophersAtomic(5), models::producerConsumerBounded(2, 5),
-                           dataExchange()};
-  const char* names[] = {"phil", "prodcons", "dataExchange"};
-  for (std::size_t m = 0; m < std::size(models); ++m) {
-    RunResult runs[2];
-    for (int threadedOn = 0; threadedOn < 2; ++threadedOn) {
-      ThreadedSwitch sw(threadedOn == 1);
-      RandomPolicy policy(7);
-      MultiThreadEngine engine(models[m], policy);
-      MtOptions opt;
-      opt.maxSteps = 200;
-      runs[threadedOn] = engine.run(opt);
     }
     expectIdenticalRuns(runs[1], runs[0], names[m]);
   }

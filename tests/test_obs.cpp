@@ -264,7 +264,6 @@ TEST(ObsDifferential, TracesBitIdenticalWithObsOnAndOff) {
   const Hatch hatches[] = {
       {"compile", expr::setCompilationEnabled, expr::compilationEnabled},
       {"fuse", expr::setFusionEnabled, expr::fusionEnabled},
-      {"threaded", expr::setThreadedDispatchEnabled, expr::threadedDispatchEnabled},
       {"batch-scan", setBatchScanEnabled, batchScanEnabled},
   };
   Outcome (*const engines[])(const System&, std::uint64_t) = {runSeq, runMt, runSharded};

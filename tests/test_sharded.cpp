@@ -327,33 +327,6 @@ TEST(ShardedEngine, BatchedAndScalarScanTracesIdentical) {
   }
 }
 
-TEST(ShardedEngine, ThreadedAndSwitchVmCoresTracesIdentical) {
-  // The computed-goto VM core (plus the block-parallel batch executor it
-  // gates) is an execution-core change only: every schedule must stay
-  // bit-identical under CBIP_NO_THREADED's switch-dispatch fallback, and
-  // each trace must stay replayable through the reference engine.
-  const System models[] = {models::philosophersAtomic(12), models::producerConsumer(3)};
-  for (const System& sys : models) {
-    const auto runWith = [&](bool threaded) {
-      const bool saved = expr::threadedDispatchEnabled();
-      expr::setThreadedDispatchEnabled(threaded);
-      ShardedEngine engine(sys, 3);
-      ShardedOptions opt;
-      opt.maxSteps = 200;
-      opt.seed = 11;
-      const RunResult r = engine.run(opt);
-      expr::setThreadedDispatchEnabled(saved);
-      return r;
-    };
-    const RunResult on = runWith(true);
-    const RunResult off = runWith(false);
-    EXPECT_EQ(on.trace.labels(), off.trace.labels());
-    EXPECT_EQ(on.finalState, off.finalState);
-    EXPECT_EQ(on.steps, off.steps);
-    expectSequentiallyReplayable(sys, on);
-  }
-}
-
 TEST(ShardedEngine, DetectsDeadlock) {
   // Two one-shot components on separate shards: two steps, then nothing.
   System sys;

@@ -12,21 +12,19 @@
 //
 // Builtin models: philosophers (atomic-grab, deadlock-free),
 // philosophers2 (two-step, can deadlock), gas (gas station),
-// prodcons (bounded buffer), tokenring. Any other --model value is
-// treated as a path to a .bip model file.
+// prodcons (bounded buffer), tokenring, skewed. Any other --model value
+// is treated as a path to a .bip model file.
 //
 // Exit codes: 0 = ran, 2 = bad usage / load failure.
 #include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 
+#include "cli_common.hpp"
 #include "engine/engine.hpp"
 #include "engine/engine_mt.hpp"
-#include "frontends/bipdsl/bipdsl.hpp"
-#include "models/models.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "shard/engine_sharded.hpp"
@@ -35,6 +33,8 @@
 namespace {
 
 using namespace cbip;
+
+constexpr const char* kTool = "cbip-stats";
 
 struct Options {
   std::string model = "philosophers";
@@ -57,34 +57,6 @@ int usage() {
   return 2;
 }
 
-std::optional<System> loadModel(const Options& opt) {
-  if (opt.model == "philosophers") return models::philosophersAtomic(opt.n);
-  if (opt.model == "philosophers2") return models::philosophersTwoStep(opt.n);
-  if (opt.model == "gas") return models::gasStation(opt.n, opt.n);
-  if (opt.model == "prodcons") return models::producerConsumer(opt.n);
-  if (opt.model == "tokenring") return models::tokenRing(opt.n);
-  // Skewed-load pairs (the rebalancer's benchmark family): n pairs, 1/8
-  // hot, the rest dead after 4 steps each.
-  if (opt.model == "skewed") {
-    return models::skewedPairs(opt.n, std::max(1, opt.n / 8), 4);
-  }
-  std::ifstream in(opt.model);
-  if (!in) {
-    std::cerr << "cbip-stats: cannot open model file " << opt.model << "\n";
-    return std::nullopt;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  try {
-    dsl::ParseResult parsed = dsl::parseModel(buf.str());
-    parsed.system.validate();
-    return std::move(parsed.system);
-  } catch (const ModelError& e) {
-    std::cerr << "cbip-stats: " << opt.model << ": " << e.what() << "\n";
-    return std::nullopt;
-  }
-}
-
 void appendEscaped(std::string& out, const std::string& s) {
   for (char c : s) {
     if (c == '"' || c == '\\') out.push_back('\\');
@@ -103,12 +75,13 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     const char* v = nullptr;
+    bool ok = true;  // false once a numeric value was rejected
     if (arg == "--model" && (v = value())) opt.model = v;
-    else if (arg == "--n" && (v = value())) opt.n = std::stoi(v);
+    else if (arg == "--n" && (v = value())) ok = cli::parseCount(kTool, arg, v, opt.n);
     else if (arg == "--engine" && (v = value())) opt.engine = v;
-    else if (arg == "--shards" && (v = value())) opt.shards = std::stoul(v);
-    else if (arg == "--steps" && (v = value())) opt.steps = std::stoull(v);
-    else if (arg == "--seed" && (v = value())) opt.seed = std::stoull(v);
+    else if (arg == "--shards" && (v = value())) ok = cli::parseCount(kTool, arg, v, opt.shards);
+    else if (arg == "--steps" && (v = value())) ok = cli::parseCount(kTool, arg, v, opt.steps);
+    else if (arg == "--seed" && (v = value())) ok = cli::parseCount(kTool, arg, v, opt.seed);
     else if (arg == "--rebalance" && (v = value())) {
       const std::string mode = v;
       if (mode != "on" && mode != "off") return usage();
@@ -117,10 +90,11 @@ int main(int argc, char** argv) {
     else if (arg == "--json" && (v = value())) opt.jsonPath = v;
     else if (arg == "--trace" && (v = value())) opt.tracePath = v;
     else return usage();
+    if (!ok) return 2;
   }
   if (opt.engine != "seq" && opt.engine != "mt" && opt.engine != "sharded") return usage();
 
-  std::optional<System> system = loadModel(opt);
+  std::optional<System> system = cli::loadModel(kTool, opt.model, opt.n);
   if (!system) return 2;
 
   // Fresh counters for this run; the at-exit exporter and the snapshot
@@ -138,16 +112,21 @@ int main(int argc, char** argv) {
   std::optional<MultiThreadEngine> mtEngine;
   std::optional<shard::ShardedEngine> shardedEngine;
   Engine* engine = nullptr;
-  if (opt.engine == "seq") {
-    engine = &seqEngine.emplace(*system, policy);
-  } else if (opt.engine == "mt") {
-    engine = &mtEngine.emplace(*system, policy);
-  } else {
-    shard::ShardedEngine& se = shardedEngine.emplace(*system, opt.shards);
-    se.defaultOptions().seed = opt.seed;
-    se.defaultOptions().rebalance = opt.rebalance;
-    se.defaultOptions().workStealing = opt.rebalance;
-    engine = &se;
+  try {
+    if (opt.engine == "seq") {
+      engine = &seqEngine.emplace(*system, policy);
+    } else if (opt.engine == "mt") {
+      engine = &mtEngine.emplace(*system, policy);
+    } else {
+      shard::ShardedEngine& se = shardedEngine.emplace(*system, opt.shards);
+      se.defaultOptions().seed = opt.seed;
+      se.defaultOptions().rebalance = opt.rebalance;
+      se.defaultOptions().workStealing = opt.rebalance;
+      engine = &se;
+    }
+  } catch (const ModelError& e) {
+    std::cerr << "cbip-stats: " << opt.engine << " engine: " << e.what() << "\n";
+    return 2;
   }
 
   RunResult result;
