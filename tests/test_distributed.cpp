@@ -98,6 +98,10 @@ struct Case {
   CrpKind crp;
 };
 
+// Without this, gtest prints a Case as its raw bytes, pointer included, and
+// the discovered ctest names change with every load address.
+void PrintTo(const Case& c, std::ostream* os) { *os << c.name; }
+
 class CrpSweep : public ::testing::TestWithParam<Case> {};
 
 TEST_P(CrpSweep, PhilosophersReachTargetAndReplay) {
